@@ -7,10 +7,12 @@
 //! time:
 //!
 //! * **mutex** — the pre-snapshot architecture: one big lock around the
-//!   graph and its [`kg_serve::ScoreServer`]. The writer holds it for
-//!   each batch's solve + re-rank (the old `&mut self` API serialized
-//!   exactly like this), and every reader takes it per request, so reads
-//!   stall for the whole round whenever one is being solved.
+//!   graph, its latest published snapshot and a [`kg_serve::SnapshotServer`]
+//!   cache. The writer holds it for each batch's solve + publish +
+//!   re-rank (a `&mut self` serving API serializes exactly like this),
+//!   and every reader takes it per request and ranks on the snapshot the
+//!   writer published under it, so reads stall for the whole round
+//!   whenever one is being solved.
 //! * **snapshot** — [`votekg::Framework::optimize_incremental`] publishes
 //!   epoch-stamped [`votekg::GraphSnapshot`]s; readers serve through a
 //!   cloned [`votekg::ServeHandle`] over the lock-free
@@ -40,7 +42,7 @@ use kg_bench::table::f2;
 use kg_bench::{Args, Table};
 use kg_datasets::TWITTER;
 use kg_graph::{KnowledgeGraph, NodeId};
-use kg_serve::{ScoreServer, ServeConfig};
+use kg_serve::{ServeConfig, SnapshotServer};
 use kg_sim::{rank_answers, BatchQuery, SimilarityConfig};
 use kg_votes::{solve_multi_votes, VoteSet};
 use serde::Serialize;
@@ -189,13 +191,11 @@ fn run_mutex_arm(
     k: usize,
 ) -> ArmOut {
     let opts = experiment_multi_opts(Duration::from_secs(60));
-    let shared = Mutex::new((
-        graph.clone(),
-        ScoreServer::new(ServeConfig {
-            sim,
-            ..Default::default()
-        }),
-    ));
+    let server = SnapshotServer::new(ServeConfig {
+        sim,
+        ..Default::default()
+    });
+    let shared = Mutex::new((graph.clone(), graph.publish()));
     let stop = AtomicBool::new(false);
     let epoch = Instant::now();
     let mut sample_threads: Vec<Vec<ReadSample>> = Vec::new();
@@ -205,6 +205,7 @@ fn run_mutex_arm(
         let mut handles = Vec::new();
         for t in 0..readers {
             let shared = &shared;
+            let server = &server;
             let stop = &stop;
             handles.push(s.spawn(move || {
                 let mut samples = Vec::new();
@@ -214,8 +215,8 @@ fn run_mutex_arm(
                     i += 1;
                     let start = epoch.elapsed().as_nanos() as u64;
                     let started = Instant::now();
-                    let (ref graph, ref mut server) = *shared.lock().unwrap();
-                    let r = server.rank(graph, *q, answers, k);
+                    let (_, ref snap) = *shared.lock().unwrap();
+                    let r = server.rank_at(snap, *q, answers, k);
                     samples.push(ReadSample {
                         start_ns: start,
                         dur_ns: started.elapsed().as_nanos() as u64,
@@ -229,11 +230,12 @@ fn run_mutex_arm(
         // Writer: the incremental pipeline, whole batch under the lock.
         let started = Instant::now();
         for chunk in votes.votes.chunks(batch) {
-            let (ref mut graph, ref mut server) = *shared.lock().unwrap();
+            let (ref mut graph, ref mut snap) = *shared.lock().unwrap();
             let round_start = epoch.elapsed().as_nanos() as u64;
             let version_before = graph.version();
             solve_multi_votes(graph, &VoteSet::from_votes(chunk.to_vec()), &opts);
             let delta = graph.changes_since(version_before);
+            *snap = graph.publish();
             if !delta.is_empty() {
                 let qs: Vec<NodeId> = questions.iter().map(|(q, _)| *q).collect();
                 let affected = kg_sim::affected_queries(graph, &delta.edges, &qs, &sim);
@@ -246,7 +248,7 @@ fn run_mutex_arm(
                         k: answers.len(),
                     })
                     .collect();
-                server.rank_batch(graph, &requests);
+                server.rank_batch_at(snap, &requests);
             }
             intervals.push((round_start, epoch.elapsed().as_nanos() as u64));
         }

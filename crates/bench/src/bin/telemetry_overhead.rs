@@ -1,6 +1,6 @@
 //! Telemetry overhead benchmark: the cached re-rank path (a warm
-//! [`kg_serve::ScoreServer::rank_batch`] over an unchanged graph — every
-//! request a cache hit) measured under three arms:
+//! [`kg_serve::SnapshotServer::rank_batch_at`] over an unchanged snapshot —
+//! every request a cache hit) measured under three arms:
 //!
 //! * **off** — telemetry disabled: the zero-cost path every entry point
 //!   must keep (one relaxed atomic load per touch point);
@@ -26,8 +26,8 @@ use kg_bench::setups::vote_scenario;
 use kg_bench::table::f2;
 use kg_bench::{Args, Table};
 use kg_datasets::TWITTER;
-use kg_graph::NodeId;
-use kg_serve::{ScoreServer, ServeConfig};
+use kg_graph::{GraphSnapshot, NodeId};
+use kg_serve::{ServeConfig, SnapshotServer};
 use kg_sim::{BatchQuery, SimilarityConfig};
 use serde::Serialize;
 use std::time::{Duration, Instant};
@@ -108,8 +108,8 @@ fn num_flag(args: &Args, name: &str, default: usize) -> usize {
 
 fn measure(
     arm: Arm,
-    server: &mut ScoreServer,
-    graph: &kg_graph::KnowledgeGraph,
+    server: &SnapshotServer,
+    snap: &GraphSnapshot,
     requests: &[BatchQuery<'_>],
     iters: usize,
 ) -> Duration {
@@ -123,7 +123,7 @@ fn measure(
     }
     let started = Instant::now();
     for _ in 0..iters {
-        let ranked = server.rank_batch(graph, requests);
+        let ranked = server.rank_batch_at(snap, requests);
         std::hint::black_box(&ranked);
     }
     let elapsed = started.elapsed();
@@ -152,7 +152,7 @@ fn main() {
     );
 
     let scenario = vote_scenario(&TWITTER, n_votes, args.scale, args.seed);
-    let graph = scenario.graph.clone();
+    let snap = scenario.graph.publish();
     let sim = SimilarityConfig::default();
     let mut questions: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
     for v in &scenario.votes.votes {
@@ -173,21 +173,21 @@ fn main() {
         requests.len()
     );
 
-    let mut server = ScoreServer::new(ServeConfig {
+    let server = SnapshotServer::new(ServeConfig {
         sim,
         ..Default::default()
     });
     // Warm the cache (and the ring/table allocation paths) so every
     // measured pass is pure cache hits.
     kg_telemetry::reset();
-    server.rank_batch(&graph, &requests);
-    measure(Arm::Recording, &mut server, &graph, &requests, 1);
+    server.rank_batch_at(&snap, &requests);
+    measure(Arm::Recording, &server, &snap, &requests, 1);
 
     const ARMS: [Arm; 3] = [Arm::Off, Arm::Spans, Arm::Recording];
     let mut times: [Vec<Duration>; 3] = [Vec::new(), Vec::new(), Vec::new()];
     for _ in 0..reps {
         for (i, arm) in ARMS.iter().enumerate() {
-            times[i].push(measure(*arm, &mut server, &graph, &requests, iters));
+            times[i].push(measure(*arm, &server, &snap, &requests, iters));
         }
     }
     kg_telemetry::reset();

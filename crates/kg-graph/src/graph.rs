@@ -177,8 +177,9 @@ impl KnowledgeGraph {
     }
 
     /// The in-adjacency row of `node`: sources and the connecting edge
-    /// ids, sorted by source id. Used by the delta-repair path to gather
-    /// a node's incoming contributions without building [`EdgeRef`]s.
+    /// ids, sorted by source id. Used by the serving cache's backward
+    /// affected-region search to walk predecessors without building
+    /// [`EdgeRef`]s.
     #[inline]
     pub fn in_row(&self, node: NodeId) -> (&[NodeId], &[EdgeId]) {
         let i = node.index();

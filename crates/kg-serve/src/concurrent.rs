@@ -1,9 +1,7 @@
 //! Lock-free snapshot serving: concurrent reads under live optimization.
 //!
-//! [`ScoreServer`](crate::ScoreServer) is single-threaded by design —
-//! `rank(&mut self)` — which forces callers that serve while an optimizer
-//! runs to wrap the whole thing in a lock and serialize every read.
-//! [`SnapshotServer`] removes that bottleneck:
+//! [`SnapshotServer`] serves many reader threads while an optimizer
+//! publishes new weights, without serializing reads behind the writer:
 //!
 //! * Readers rank against an immutable, epoch-stamped
 //!   [`GraphSnapshot`](kg_graph::GraphSnapshot); the writer mutates a
@@ -27,34 +25,46 @@
 //! the stress suite in `tests/concurrent_serving.rs` checks every result
 //! byte-for-byte against an uncached evaluation at its reported epoch.
 //!
-//! Since the delta-repair pass, a sync is cache *repair* before it is
-//! cache invalidation: each miss-fill keeps the [`kg_sim::PhiRecord`] of
-//! its evaluation, and an affected entry is first offered to
-//! [`kg_sim::delta_phi`], which patches the recorded masses downstream of
-//! the changed edges and re-ranks bitwise-identically to a fresh
-//! evaluation. Only entries whose repair declines (support change, churn
-//! budget, config mismatch — see [`kg_sim::RepairFallback`]) are evicted.
-//! The changed-edge extraction itself is memoized across shards: the
-//! first shard syncing over an epoch transition pays the `O(|E|)` scan,
-//! the rest reuse the shared [`WeightDelta`].
+//! A sync is evict-and-recompute: the entries that
+//! [`kg_sim::affected_region`] proves reachable from the changed edges
+//! are dropped and recomputed on their next request; every other entry
+//! is still exact and carries over. The changed-edge extraction and its
+//! affected region are memoized across shards: the first shard syncing
+//! over an epoch transition pays the `O(|E|)` scan and the backward
+//! search, the rest reuse them.
 
 use crate::stats::{ServeStats, SharedServeStats};
-use crate::ServeConfig;
 use kg_graph::{ArcCell, GraphSnapshot, NodeId, SharedGraph, WeightDelta};
 use kg_sim::{
-    affected_queries, delta_phi_apply, delta_phi_plan, rank_many, rank_many_recorded,
-    with_local_workspace, BatchQuery, PhiRecord, RankedAnswer, RepairScratch,
+    affected_region, rank_many, with_local_workspace, BatchQuery, RankedAnswer, SimilarityConfig,
 };
-use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-thread_local! {
-    /// Per-thread repair scratch: `sync_shard` runs on whichever reader
-    /// thread first observes the new epoch, and the scratch must not be
-    /// shared behind a lock (the sync path sits inside the shard's RCU
-    /// update closure).
-    static REPAIR_SCRATCH: RefCell<RepairScratch> = RefCell::new(RepairScratch::default());
+/// Configuration of a [`SnapshotServer`].
+#[derive(Debug, Clone, Copy)]
+pub struct ServeConfig {
+    /// Similarity parameters used for every evaluation. Must match the
+    /// config the optimizer assumes (the invalidation radius is
+    /// `sim.max_path_len - 1` hops).
+    pub sim: SimilarityConfig,
+    /// Worker threads for batch misses; `1` evaluates inline on the
+    /// calling thread. Results are identical for any value.
+    pub workers: usize,
+    /// Cache shards. More shards mean less publish contention between
+    /// concurrent miss-fills at a small per-sync cost; results are
+    /// identical for any value `>= 1` (`0` is treated as `1`).
+    pub shards: usize,
+}
+
+impl Default for ServeConfig {
+    fn default() -> Self {
+        ServeConfig {
+            sim: SimilarityConfig::default(),
+            workers: 1,
+            shards: 16,
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -64,20 +74,6 @@ struct CacheEntry {
     /// Full ranking over `answers` (`k = answers.len()`), so any request
     /// with `k <= answers.len()` is served by truncation.
     ranking: Vec<RankedAnswer>,
-    /// Replayable capture of the evaluation behind `ranking`, kept so a
-    /// sync can *repair* the entry through [`kg_sim::delta_phi_plan`] /
-    /// [`kg_sim::delta_phi_apply`] instead of evicting it. `None` when
-    /// delta repair is disabled.
-    record: Option<PhiRecord>,
-}
-
-/// Outcome of a successful repair attempt on one cache entry.
-enum Repair {
-    /// The weight changes provably did not move this entry's scores;
-    /// the shared entry stays as-is.
-    Keep,
-    /// The entry was patched to the new weights.
-    Fixed(CacheEntry),
 }
 
 /// One cache shard: immutable once published. Entries are `Arc`-shared so
@@ -110,30 +106,43 @@ struct ShardCache {
 /// restart) keeps results correct but permanently bypasses the cache;
 /// call [`Self::clear`] when switching lineages.
 ///
-/// Stats semantics match [`ScoreServer`](crate::ScoreServer): a request
-/// whose entry exists and was built over the same answer list is a hit;
-/// everything else is a miss. Under concurrency, two threads missing on
-/// the same query both count a miss (both compute; one insert wins).
+/// A request whose entry exists and was built over the same answer list
+/// is a hit; everything else is a miss. Under concurrency, two threads
+/// missing on the same query both count a miss (both compute; one insert
+/// wins).
 #[derive(Debug)]
 pub struct SnapshotServer {
     cfg: ServeConfig,
     shards: Box<[ArcCell<ShardCache>]>,
     stats: SharedServeStats,
-    /// Last changed-edge extraction, shared across shards: every shard
+    /// Last sync interval's changes, shared across shards: every shard
     /// syncing over the same `(from, to]` epoch transition reuses one
-    /// `changes_since` scan instead of paying `O(|E|)` each. Last writer
-    /// wins; a lost race costs a redundant scan, never a wrong delta
-    /// (the interval is part of the key, see [`WeightDelta::covers`]).
-    delta_memo: ArcCell<WeightDelta>,
+    /// `changes_since` scan and one affected-region search instead of
+    /// paying for them each. Last writer wins; a lost race costs a
+    /// redundant computation, never a wrong eviction (the interval is
+    /// part of the key, see [`WeightDelta::covers`]).
+    delta_memo: ArcCell<SyncDelta>,
+}
+
+/// The changes of one `(from, to]` epoch transition.
+#[derive(Debug)]
+struct SyncDelta {
+    delta: WeightDelta,
+    /// [`affected_region`] of `delta`'s edges: the cached queries in it
+    /// are evicted, every other entry carries over.
+    region: HashSet<NodeId>,
 }
 
 /// A memo value that can never satisfy [`WeightDelta::covers`] — real
 /// sync intervals `(from, to]` always have `from < to`.
-fn empty_memo() -> Arc<WeightDelta> {
-    Arc::new(WeightDelta {
-        from_version: u64::MAX,
-        to_version: u64::MAX,
-        edges: Vec::new(),
+fn empty_memo() -> Arc<SyncDelta> {
+    Arc::new(SyncDelta {
+        delta: WeightDelta {
+            from_version: u64::MAX,
+            to_version: u64::MAX,
+            edges: Vec::new(),
+        },
+        region: HashSet::new(),
     })
 }
 
@@ -198,76 +207,30 @@ impl SnapshotServer {
         &self.shards[(h >> 32) as usize % self.shards.len()]
     }
 
-    /// The changed-edge set covering `(from, snap.epoch()]`, shared
-    /// across shards: a memo hit skips the `O(|E|)` stamp scan entirely.
-    /// Computed outside any shard lock; concurrent callers over different
-    /// intervals overwrite each other (last writer wins), which only
-    /// costs the loser's scan.
-    fn shared_delta(&self, snap: &GraphSnapshot, from: u64) -> Arc<WeightDelta> {
+    /// The changes covering `(from, snap.epoch()]`, shared across
+    /// shards: a memo hit skips the `O(|E|)` stamp scan and the backward
+    /// search entirely. Concurrent callers over different intervals
+    /// overwrite each other (last writer wins), which only costs the
+    /// loser's computation.
+    fn shared_delta(&self, snap: &GraphSnapshot, from: u64) -> Arc<SyncDelta> {
         let memo = self.delta_memo.load();
-        if memo.covers(from, snap.epoch()) {
+        if memo.delta.covers(from, snap.epoch()) {
             if kg_telemetry::is_enabled() {
                 kg_telemetry::counter("votekg.serve.delta_memo_hits").incr();
             }
             return memo;
         }
-        let delta = Arc::new(snap.changes_since(from));
-        self.delta_memo.store(Arc::clone(&delta));
-        delta
+        let delta = snap.changes_since(from);
+        let region = affected_region(snap, &delta.edges, &self.cfg.sim);
+        let sync = Arc::new(SyncDelta { delta, region });
+        self.delta_memo.store(Arc::clone(&sync));
+        sync
     }
 
-    /// Tries to repair one affected entry: *plans* the repair read-only
-    /// against the shared entry's record ([`delta_phi_plan`]), and only
-    /// when the plan succeeds — and actually moved something — pays for
-    /// a deep copy and commits the planned masses ([`delta_phi_apply`]).
-    /// Repaired scores are bitwise identical to a fresh evaluation, so
-    /// two further shortcuts are sound: a plan with zero commits keeps
-    /// the shared entry untouched (`Keep`), and a repair whose phi
-    /// corrections miss the entry's answer list reuses the cached
-    /// ranking verbatim instead of re-sorting it. Declined plans —
-    /// repair disabled, no record, or a [`kg_sim::RepairFallback`] —
-    /// cost no allocation at all; the caller evicts instead (`None`).
-    fn repair_entry(&self, snap: &GraphSnapshot, entry: &CacheEntry) -> Option<Repair> {
-        if !self.cfg.delta.enabled {
-            return None;
-        }
-        let shared = entry.record.as_ref()?;
-        REPAIR_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            let mut stats =
-                delta_phi_plan(snap, shared, &self.cfg.sim, &self.cfg.delta, scratch).ok()?;
-            if stats.repaired_masses == 0 {
-                // The changed edges never crossed this record's live
-                // frontier: the entry is already current.
-                return Some(Repair::Keep);
-            }
-            let mut record = shared.clone();
-            delta_phi_apply(&mut record, scratch, &mut stats).ok()?;
-            let ranking = if entry.answers.iter().any(|&a| scratch.phi_changed(a)) {
-                let mut ranking = Vec::with_capacity(entry.answers.len());
-                record.rank_into(
-                    &entry.answers,
-                    entry.answers.len(),
-                    &mut scratch.scored,
-                    &mut ranking,
-                );
-                ranking
-            } else {
-                entry.ranking.clone()
-            };
-            Some(Repair::Fixed(CacheEntry {
-                answers: entry.answers.clone(),
-                ranking,
-                record: Some(record),
-            }))
-        })
-    }
-
-    /// Migrates one shard *forward* to `snap`'s epoch, repairing the
-    /// entries the intervening weight changes can affect and evicting
-    /// only those whose repair declines (RCU republish; a no-op if
-    /// another thread already migrated it at least that far — shards
-    /// never move backwards).
+    /// Migrates one shard *forward* to `snap`'s epoch, evicting exactly
+    /// the entries the intervening weight changes can affect (RCU
+    /// republish; a no-op if another thread already migrated it at least
+    /// that far — shards never move backwards).
     fn sync_shard(&self, cell: &ArcCell<ShardCache>, snap: &GraphSnapshot) {
         let target = snap.epoch();
         cell.update(|cache| {
@@ -284,7 +247,7 @@ impl SnapshotServer {
                     entries: HashMap::new(),
                 }
             } else {
-                let delta = self.shared_delta(snap, cache.epoch);
+                let SyncDelta { delta, region } = &*self.shared_delta(snap, cache.epoch);
                 if delta.is_empty() {
                     ShardCache {
                         epoch: target,
@@ -292,59 +255,17 @@ impl SnapshotServer {
                     }
                 } else {
                     self.stats.dirty_sync();
-                    let cached: Vec<NodeId> = cache.entries.keys().copied().collect();
-                    let affected: HashSet<NodeId> =
-                        affected_queries(snap, &delta.edges, &cached, &self.cfg.sim)
-                            .into_iter()
-                            .collect();
-                    // Bulk churn past the measured crossover skips repair
-                    // wholesale — eviction is cheaper there.
-                    let try_repair = self
-                        .cfg
-                        .delta
-                        .worth_repairing(delta.edges.len(), snap.edge_count())
-                        && !affected.is_empty();
-                    if self.cfg.delta.enabled && !try_repair && kg_telemetry::is_enabled() {
-                        kg_telemetry::counter("votekg.serve.repair_bulk_skips").incr();
-                    }
-                    if try_repair {
-                        // One delta load serves every plan in this sync.
-                        REPAIR_SCRATCH
-                            .with(|cell| cell.borrow_mut().load_delta(snap, &delta.edges));
-                    }
-                    let mut entries: HashMap<NodeId, Arc<CacheEntry>> =
-                        HashMap::with_capacity(cache.entries.len());
-                    let mut repaired = 0usize;
-                    for (q, e) in &cache.entries {
-                        if !affected.contains(q) {
-                            entries.insert(*q, Arc::clone(e));
-                        } else if try_repair {
-                            match self.repair_entry(snap, e) {
-                                Some(Repair::Keep) => {
-                                    entries.insert(*q, Arc::clone(e));
-                                    repaired += 1;
-                                }
-                                Some(Repair::Fixed(fixed)) => {
-                                    entries.insert(*q, Arc::new(fixed));
-                                    repaired += 1;
-                                }
-                                None => {}
-                            }
-                        }
-                        // else: affected with repair skipped — evicted.
-                    }
-                    let evicted = affected.len() - repaired;
-                    let retained = entries.len() - repaired;
+                    let mut entries = cache.entries.clone();
+                    entries.retain(|q, _| !region.contains(q));
+                    let retained = entries.len();
+                    let evicted = cache.entries.len() - retained;
                     self.stats.invalidated(evicted as u64);
-                    self.stats.repaired(repaired as u64);
                     self.stats.retained(retained as u64);
                     span.field("changed_edges", delta.len());
                     span.field("invalidated", evicted);
-                    span.field("repaired", repaired);
                     span.field("retained", retained);
                     if kg_telemetry::is_enabled() {
                         kg_telemetry::counter("votekg.serve.invalidations").add(evicted as u64);
-                        kg_telemetry::counter("votekg.serve.repaired").add(repaired as u64);
                         kg_telemetry::counter("votekg.serve.retained").add(retained as u64);
                         kg_telemetry::histogram("votekg.serve.delta_edges")
                             .record(delta.len() as u64);
@@ -406,35 +327,18 @@ impl SnapshotServer {
             kg_telemetry::counter("votekg.serve.misses").incr();
         }
         let mut full = Vec::with_capacity(answers.len());
-        let record = if self.cfg.delta.enabled {
-            let mut rec = PhiRecord::new();
-            with_local_workspace(|ws| {
-                ws.rank_into_recorded(
-                    snap,
-                    query,
-                    answers,
-                    &self.cfg.sim,
-                    answers.len(),
-                    &mut full,
-                    &mut rec,
-                );
-            });
-            Some(rec)
-        } else {
-            with_local_workspace(|ws| {
-                ws.rank_into(
-                    snap,
-                    query,
-                    answers,
-                    &self.cfg.sim,
-                    answers.len(),
-                    &mut full,
-                );
-            });
-            None
-        };
+        with_local_workspace(|ws| {
+            ws.rank_into(
+                snap,
+                query,
+                answers,
+                &self.cfg.sim,
+                answers.len(),
+                &mut full,
+            );
+        });
         let out = full.iter().take(k).copied().collect();
-        self.install(cell, epoch, query, answers.to_vec(), full, record);
+        self.install(cell, epoch, query, answers.to_vec(), full);
         out
     }
 
@@ -450,13 +354,8 @@ impl SnapshotServer {
         query: NodeId,
         answers: Vec<NodeId>,
         ranking: Vec<RankedAnswer>,
-        record: Option<PhiRecord>,
     ) {
-        let entry = Arc::new(CacheEntry {
-            answers,
-            ranking,
-            record,
-        });
+        let entry = Arc::new(CacheEntry { answers, ranking });
         cell.update(|cache| {
             if cache.epoch != epoch {
                 return None;
@@ -473,11 +372,10 @@ impl SnapshotServer {
     /// Ranks a whole batch against `snap`, evaluating cache misses in
     /// parallel over the configured worker count. Results are in request
     /// order and per-request identical to [`Self::rank_at`]. Duplicate
-    /// queries within one batch are deduplicated exactly like
-    /// [`ScoreServer::rank_batch`](crate::ScoreServer::rank_batch): the
-    /// first occurrence computes, an identical repeat is a hit, and a
-    /// repeat with a different answer list is computed separately (the
-    /// last one wins the cache slot).
+    /// queries within one batch are deduplicated: the first occurrence
+    /// computes, an identical repeat is a hit, and a repeat with a
+    /// different answer list is computed separately (the last one wins
+    /// the cache slot).
     pub fn rank_batch_at(
         &self,
         snap: &GraphSnapshot,
@@ -535,25 +433,14 @@ impl SnapshotServer {
             kg_telemetry::counter("votekg.serve.batches").incr();
             kg_telemetry::histogram("votekg.serve.batch_misses").record(miss_requests.len() as u64);
         }
-        let (computed, records): (Vec<Vec<RankedAnswer>>, Vec<Option<PhiRecord>>) =
-            if self.cfg.delta.enabled {
-                rank_many_recorded(snap, &miss_requests, &self.cfg.sim, self.cfg.workers)
-                    .into_iter()
-                    .map(|(ranking, rec)| (ranking, Some(rec)))
-                    .unzip()
-            } else {
-                let rankings = rank_many(snap, &miss_requests, &self.cfg.sim, self.cfg.workers);
-                let records = miss_requests.iter().map(|_| None).collect();
-                (rankings, records)
-            };
-        for ((req, ranking), record) in miss_requests.iter().zip(&computed).zip(records) {
+        let computed = rank_many(snap, &miss_requests, &self.cfg.sim, self.cfg.workers);
+        for (req, ranking) in miss_requests.iter().zip(&computed) {
             self.install(
                 self.shard_for(req.query),
                 epoch,
                 req.query,
                 req.answers.to_vec(),
                 ranking.clone(),
-                record,
             );
         }
         sources
@@ -685,7 +572,7 @@ mod tests {
     }
 
     #[test]
-    fn unrelated_change_keeps_entry_related_change_repairs() {
+    fn unrelated_change_keeps_entry_related_change_evicts() {
         let (mut g, queries, answers, hub_edges) = two_regions();
         let s = SnapshotServer::default();
         let snap = g.publish();
@@ -693,8 +580,7 @@ mod tests {
         s.rank_at(&snap, queries[1], &answers[1], 2);
         assert_eq!(s.cached_queries(), 2);
 
-        // Change region 1's hub edge: only q1 is affected — and its entry
-        // is repaired in place, not evicted.
+        // Change region 1's hub edge: only q1 is affected and evicted.
         g.set_weight(hub_edges[1], 0.1).unwrap();
         let snap2 = g.publish();
         let cfg = s.config().sim;
@@ -702,38 +588,13 @@ mod tests {
         let r1 = s.rank_at(&snap2, queries[1], &answers[1], 2);
         assert_eq!(r0, rank_answers(&g, queries[0], &answers[0], &cfg, 2));
         assert_eq!(r1, rank_answers(&g, queries[1], &answers[1], &cfg, 2));
-        let stats = s.stats();
-        assert_eq!(stats.invalidated, 0);
-        assert_eq!(stats.repaired, 1);
-        assert_eq!(stats.retained, 1);
-        assert_eq!(stats.hits, 2, "q0 survives, q1 is repaired — both hits");
-        assert_eq!(stats.misses, 2);
-        assert_eq!(s.cached_queries(), 2);
-    }
-
-    #[test]
-    fn disabled_delta_evicts_affected_entries() {
-        let (mut g, queries, answers, hub_edges) = two_regions();
-        let s = SnapshotServer::new(ServeConfig {
-            delta: kg_sim::DeltaConfig::disabled(),
-            ..Default::default()
-        });
-        let snap = g.publish();
-        s.rank_at(&snap, queries[0], &answers[0], 2);
-        s.rank_at(&snap, queries[1], &answers[1], 2);
-        g.set_weight(hub_edges[1], 0.1).unwrap();
-        let snap2 = g.publish();
-        let cfg = s.config().sim;
-        let r0 = s.rank_at(&snap2, queries[0], &answers[0], 2);
-        let r1 = s.rank_at(&snap2, queries[1], &answers[1], 2);
-        assert_eq!(r0, rank_answers(&g, queries[0], &answers[0], &cfg, 2));
-        assert_eq!(r1, rank_answers(&g, queries[1], &answers[1], &cfg, 2));
+        assert_eq!(r1[0].node, answers[1][1], "the demoted answer must drop");
         let stats = s.stats();
         assert_eq!(stats.invalidated, 1);
-        assert_eq!(stats.repaired, 0);
         assert_eq!(stats.retained, 1);
         assert_eq!(stats.hits, 1, "q0 must survive the sync as a hit");
-        assert_eq!(stats.misses, 3);
+        assert_eq!(stats.misses, 3, "q1 recomputes after its eviction");
+        assert_eq!(s.cached_queries(), 2);
     }
 
     /// Two shards syncing over the same epoch transition must share one
@@ -767,7 +628,7 @@ mod tests {
             hits(&after) > hits(&before),
             "second shard's sync must hit the delta memo"
         );
-        assert_eq!(s.stats().repaired, 2, "both entries repaired");
+        assert_eq!(s.stats().invalidated, 2, "both entries evicted");
     }
 
     #[test]
@@ -929,6 +790,30 @@ mod tests {
             assert_eq!(
                 handle.rank(queries[r], &answers[r], 2),
                 rank_answers(&final_snap, queries[r], &answers[r], &cfg, 2)
+            );
+        }
+    }
+
+    #[test]
+    fn telemetry_counters_flow_when_enabled() {
+        kg_telemetry::enable();
+        let (mut g, queries, answers, hub_edges) = two_regions();
+        let s = SnapshotServer::default();
+        let snap = g.publish();
+        s.rank_at(&snap, queries[0], &answers[0], 2);
+        s.rank_at(&snap, queries[0], &answers[0], 2);
+        g.set_weight(hub_edges[0], 0.2).unwrap();
+        s.rank_at(&g.publish(), queries[0], &answers[0], 2);
+        let snap = kg_telemetry::Snapshot::capture();
+        for name in [
+            "votekg.serve.hits",
+            "votekg.serve.misses",
+            "votekg.serve.invalidations",
+        ] {
+            assert!(
+                snap.counters.iter().any(|(k, v)| k == name && *v > 0),
+                "missing counter {name}: {:?}",
+                snap.counters
             );
         }
     }

@@ -9,38 +9,33 @@
 //! `u`. Recomputing every query after every round throws that locality
 //! away.
 //!
-//! [`ScoreServer`] keeps it: rankings are cached per query and keyed by
-//! the graph's monotonic weight [version](kg_graph::KnowledgeGraph::version).
-//! On each request the server compares versions, pulls the
-//! [`WeightDelta`](kg_graph::WeightDelta) of edges changed since it last
-//! looked, and evicts **only** the cached queries that
-//! [`kg_sim::affected_queries`] proves reachable from those edges — every
-//! other cached ranking is still exact, byte for byte. Misses are
-//! evaluated on a warm, allocation-free [`kg_sim::PhiWorkspace`];
-//! [`ScoreServer::rank_batch`] fans misses out over scoped worker threads.
-//!
-//! [`ScoreServer`] is single-threaded (`&mut self`). For concurrent
-//! serving under a live optimizer, [`SnapshotServer`] applies the same
-//! invalidation rule to immutable, epoch-stamped
-//! [`GraphSnapshot`](kg_graph::GraphSnapshot)s behind sharded wait-free
-//! cells: readers never take a lock, never block the writer, and a
-//! [`ServeHandle`] serves coherent rankings from any thread while
-//! optimization rounds publish new epochs (see `concurrent`).
+//! [`SnapshotServer`] keeps it. Rankings are cached per query, in shards
+//! keyed by the epoch of the immutable
+//! [`GraphSnapshot`](kg_graph::GraphSnapshot) they were computed
+//! against. When a reader arrives with a newer snapshot, the shard pulls
+//! the [`WeightDelta`](kg_graph::WeightDelta) of edges changed since its
+//! epoch and evicts **only** the cached queries that
+//! [`kg_sim::affected_queries`] proves reachable from those edges; every
+//! other cached ranking is still exact, byte for byte. Evicted queries
+//! recompute on their next request on a warm, allocation-free
+//! [`kg_sim::PhiWorkspace`], and [`SnapshotServer::rank_batch_at`] fans a
+//! batch's misses out over scoped worker threads. Readers never take a
+//! lock and never block the writer, and a [`ServeHandle`] serves coherent
+//! rankings from any thread while optimization rounds publish new epochs
+//! (see `concurrent`).
 //!
 //! The cache is *provably coherent*, not heuristically fresh: the
 //! property test in `tests/proptest_serve.rs` interleaves arbitrary
 //! weight mutations with lookups and checks the server's output is
-//! identical to an uncached [`kg_sim::rank_answers`] call at every step;
-//! the workspace-level stress suite `tests/concurrent_serving.rs` does
-//! the same for rankings served *during* optimization.
+//! bit-identical to an uncached [`kg_sim::rank_answers`] call at every
+//! step; the workspace-level stress suite `tests/concurrent_serving.rs`
+//! does the same for rankings served *during* optimization.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod concurrent;
-pub mod server;
 pub mod stats;
 
-pub use concurrent::{ServeHandle, SnapshotServer};
-pub use server::{ScoreServer, ServeConfig};
+pub use concurrent::{ServeConfig, ServeHandle, SnapshotServer};
 pub use stats::{ServeStats, SharedServeStats};

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Cumulative counters of a [`crate::ScoreServer`]'s cache behavior.
+/// Cumulative counters of a [`crate::SnapshotServer`]'s cache behavior.
 ///
 /// Maintained unconditionally (they are a handful of integer increments);
 /// mirrored into `kg-telemetry` counters (`votekg.serve.*`) when
@@ -15,20 +15,16 @@ pub struct ServeStats {
     /// Requests that had to evaluate phi (no entry, or the entry was
     /// built over a different answer list).
     pub misses: u64,
-    /// Cached queries evicted by delta-based invalidation (the repair
-    /// path was off, or declined with a fallback).
+    /// Cached queries evicted by delta-based invalidation: the changed
+    /// edges can reach them, so they recompute on their next request.
     pub invalidated: u64,
-    /// Cached queries whose ranking was *repaired* in place through
-    /// [`kg_sim::delta_phi`] instead of evicted — served afterwards as
-    /// hits without re-evaluating phi.
-    pub repaired: u64,
     /// Cached queries that survived a sync because the changed edges
     /// cannot reach them — the work the cache saved.
     pub retained: u64,
     /// Version syncs that saw at least one changed edge.
     pub dirty_syncs: u64,
-    /// Whole-cache clears (version regression: the graph jumped to an
-    /// unknown lineage, e.g. reloaded from disk).
+    /// Whole-cache clears ([`crate::SnapshotServer::clear`], used when
+    /// the graph jumps to a new lineage, e.g. reloaded from disk).
     pub full_clears: u64,
 }
 
@@ -44,9 +40,8 @@ impl ServeStats {
     }
 }
 
-/// Atomic mirror of [`ServeStats`] for the concurrent
-/// [`crate::SnapshotServer`]: many reader threads bump counters without
-/// any lock; [`Self::snapshot`] folds them into a plain [`ServeStats`].
+/// Atomic mirror of [`ServeStats`]: many reader threads bump counters
+/// without any lock; [`Self::snapshot`] folds them into a plain [`ServeStats`].
 ///
 /// Individual counters are updated with relaxed atomics, so a snapshot
 /// taken *while requests are in flight* may observe one counter of a
@@ -57,7 +52,6 @@ pub struct SharedServeStats {
     hits: AtomicU64,
     misses: AtomicU64,
     invalidated: AtomicU64,
-    repaired: AtomicU64,
     retained: AtomicU64,
     dirty_syncs: AtomicU64,
     full_clears: AtomicU64,
@@ -74,10 +68,6 @@ impl SharedServeStats {
 
     pub(crate) fn invalidated(&self, n: u64) {
         self.invalidated.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn repaired(&self, n: u64) {
-        self.repaired.fetch_add(n, Ordering::Relaxed);
     }
 
     pub(crate) fn retained(&self, n: u64) {
@@ -98,7 +88,6 @@ impl SharedServeStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             invalidated: self.invalidated.load(Ordering::Relaxed),
-            repaired: self.repaired.load(Ordering::Relaxed),
             retained: self.retained.load(Ordering::Relaxed),
             dirty_syncs: self.dirty_syncs.load(Ordering::Relaxed),
             full_clears: self.full_clears.load(Ordering::Relaxed),
@@ -117,7 +106,6 @@ mod tests {
         s.hit();
         s.miss();
         s.invalidated(3);
-        s.repaired(4);
         s.retained(2);
         s.dirty_sync();
         s.full_clear();
@@ -125,7 +113,6 @@ mod tests {
         assert_eq!(snap.hits, 2);
         assert_eq!(snap.misses, 1);
         assert_eq!(snap.invalidated, 3);
-        assert_eq!(snap.repaired, 4);
         assert_eq!(snap.retained, 2);
         assert_eq!(snap.dirty_syncs, 1);
         assert_eq!(snap.full_clears, 1);

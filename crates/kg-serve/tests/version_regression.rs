@@ -1,13 +1,18 @@
-//! Version-regression coherence: a server that has validated against a
-//! newer graph version must fully clear its cache when handed an *older*
-//! graph (unknown lineage — deltas can't prove anything), and a
-//! snapshot restore on the same graph (version moves forward) must ride
-//! the delta-invalidation path. In both cases every ranking served
-//! afterwards must be byte-identical to an uncached
-//! [`kg_sim::rank_answers`] evaluation.
+//! Version and lineage coherence of the [`SnapshotServer`]:
+//!
+//! * a weight-snapshot restore on the same graph moves the version
+//!   *forward*, so it must ride the delta-eviction path;
+//! * a snapshot from an *older* lineage (epoch behind the cache's) is
+//!   served by direct, uncached evaluation — shards never move backwards;
+//! * [`SnapshotServer::clear`] re-attaches the cache to such a lineage.
+//!
+//! In every case each ranking served must be byte-identical to an
+//! uncached [`kg_sim::rank_answers`] evaluation.
 
-use kg_graph::{EdgeId, GraphBuilder, KnowledgeGraph, NodeId, NodeKind, WeightSnapshot};
-use kg_serve::{ScoreServer, ServeConfig};
+use kg_graph::{
+    EdgeId, GraphBuilder, GraphSnapshot, KnowledgeGraph, NodeId, NodeKind, WeightSnapshot,
+};
+use kg_serve::SnapshotServer;
 use kg_sim::rank_answers;
 
 fn scene() -> (KnowledgeGraph, NodeId, Vec<NodeId>) {
@@ -30,15 +35,15 @@ fn scene() -> (KnowledgeGraph, NodeId, Vec<NodeId>) {
 
 /// Bitwise comparison against the uncached oracle.
 fn assert_matches_oracle(
-    server: &mut ScoreServer,
-    graph: &KnowledgeGraph,
+    server: &SnapshotServer,
+    snap: &GraphSnapshot,
     query: NodeId,
     answers: &[NodeId],
     context: &str,
 ) {
     let cfg = server.config().sim;
-    let served = server.rank(graph, query, answers, answers.len());
-    let oracle = rank_answers(graph, query, answers, &cfg, answers.len());
+    let served = server.rank_at(snap, query, answers, answers.len());
+    let oracle = rank_answers(snap, query, answers, &cfg, answers.len());
     assert_eq!(served.len(), oracle.len(), "{context}: length mismatch");
     for (s, o) in served.iter().zip(&oracle) {
         assert_eq!(s.node, o.node, "{context}: node order differs");
@@ -54,62 +59,74 @@ fn assert_matches_oracle(
 }
 
 #[test]
-fn older_graph_version_forces_a_full_clear() {
+fn older_lineage_is_served_uncached_until_clear() {
     let (mut graph, q, answers) = scene();
-    // An old clone: same weights, but its version counter is behind the
-    // mutated original — the regression case.
-    let old_graph = graph.clone();
+    // An old clone: same starting weights, but its epoch is behind the
+    // mutated original's.
+    let old = graph.publish();
     graph.set_weight(EdgeId(0), 0.9).unwrap();
-    assert!(old_graph.version() < graph.version());
+    let new = graph.publish();
+    assert!(old.epoch() < new.epoch());
 
-    let mut server = ScoreServer::new(ServeConfig::default());
-    assert_matches_oracle(&mut server, &graph, q, &answers, "warm-up on new graph");
+    let server = SnapshotServer::default();
+    assert_matches_oracle(&server, &new, q, &answers, "warm-up on new graph");
     assert_eq!(server.cached_queries(), 1);
-    let clears_before = server.stats().full_clears;
 
-    // Handing the server the older graph must drop the whole cache (its
-    // entries were validated against a version the old graph never saw)
-    // and still serve oracle-identical rankings.
-    assert_matches_oracle(&mut server, &old_graph, q, &answers, "regressed graph");
-    assert_eq!(
-        server.stats().full_clears,
-        clears_before + 1,
-        "version regression must fully clear the cache"
-    );
-    // The post-clear entry is valid for the old graph, and a re-request
-    // hits the cache while remaining oracle-identical.
+    // The older snapshot is evaluated directly, twice, and never cached:
+    // both reads are misses, and the newer entry survives them.
+    for round in 0..2 {
+        assert_matches_oracle(&server, &old, q, &answers, &format!("older, read {round}"));
+    }
+    let stats = server.stats();
+    assert_eq!(stats.misses, 3, "older-lineage reads bypass the cache");
+    assert_eq!(stats.hits, 0);
+    assert_eq!(stats.full_clears, 0);
+    assert_matches_oracle(&server, &new, q, &answers, "new graph after stragglers");
+    assert_eq!(server.stats().hits, 1, "the newer entry survived");
+
+    // clear() re-attaches the cache to the older lineage: its second
+    // read is a hit and still oracle-identical.
+    server.clear();
+    assert_eq!(server.stats().full_clears, 1);
+    assert_eq!(server.cached_queries(), 0);
+    assert_matches_oracle(&server, &old, q, &answers, "older, after clear");
     let hits_before = server.stats().hits;
-    assert_matches_oracle(&mut server, &old_graph, q, &answers, "regressed, cached");
+    assert_matches_oracle(&server, &old, q, &answers, "older, cached");
     assert_eq!(server.stats().hits, hits_before + 1);
 }
 
 #[test]
 fn snapshot_restore_invalidates_through_the_delta_path() {
     let (mut graph, q, answers) = scene();
-    let snap = WeightSnapshot::capture(&graph);
+    let weights = WeightSnapshot::capture(&graph);
 
-    let mut server = ScoreServer::new(ServeConfig::default());
-    assert_matches_oracle(&mut server, &graph, q, &answers, "initial weights");
+    let server = SnapshotServer::default();
+    assert_matches_oracle(&server, &graph.publish(), q, &answers, "initial weights");
 
     // Perturb, serve, then roll back via the snapshot. The restore moves
     // the version *forward* (kg-graph's restore re-writes weights), so
-    // the server must invalidate through changes_since, not a full clear.
+    // the server must evict through changes_since, not a full clear.
     graph.set_weight(EdgeId(0), 0.95).unwrap();
-    assert_matches_oracle(&mut server, &graph, q, &answers, "perturbed weights");
-    let clears_before = server.stats().full_clears;
-    snap.restore(&mut graph);
-    assert_matches_oracle(&mut server, &graph, q, &answers, "restored weights");
+    assert_matches_oracle(&server, &graph.publish(), q, &answers, "perturbed weights");
+    let before = server.stats();
+    weights.restore(&mut graph);
+    let restored = graph.publish();
+    assert_matches_oracle(&server, &restored, q, &answers, "restored weights");
+    let after = server.stats();
+    assert!(
+        after.invalidated > before.invalidated,
+        "the restore must evict the perturbed entry"
+    );
     assert_eq!(
-        server.stats().full_clears,
-        clears_before,
+        after.full_clears, before.full_clears,
         "forward-version restore must not need a full clear"
     );
 
-    // After the restore the rankings must equal a fresh server's output
-    // on the restored graph, bit for bit.
-    let mut fresh = ScoreServer::new(ServeConfig::default());
-    let cached = server.rank(&graph, q, &answers, answers.len());
-    let uncached = fresh.rank(&graph, q, &answers, answers.len());
+    // The restored entry is now cached: a fresh server's uncached fill
+    // on the restored graph agrees with it bit for bit.
+    let cached = server.rank_at(&restored, q, &answers, answers.len());
+    assert_eq!(server.stats().hits, after.hits + 1);
+    let uncached = SnapshotServer::default().rank_at(&restored, q, &answers, answers.len());
     for (c, u) in cached.iter().zip(&uncached) {
         assert_eq!(c.node, u.node);
         assert_eq!(c.score.to_bits(), u.score.to_bits());

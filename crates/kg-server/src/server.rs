@@ -980,7 +980,6 @@ struct CacheStatsWire {
     hits: u64,
     misses: u64,
     invalidated: u64,
-    repaired: u64,
     retained: u64,
 }
 
@@ -1010,7 +1009,6 @@ fn stats_doc(shared: &Shared) -> StatsDoc {
             hits: cache.hits,
             misses: cache.misses,
             invalidated: cache.invalidated,
-            repaired: cache.repaired,
             retained: cache.retained,
         },
     }
@@ -1088,7 +1086,6 @@ fn prometheus_text(shared: &Shared) -> String {
         ("hit", doc.cache.hits),
         ("miss", doc.cache.misses),
         ("invalidated", doc.cache.invalidated),
-        ("repaired", doc.cache.repaired),
         ("retained", doc.cache.retained),
     ] {
         out.push_str(&format!(

@@ -65,105 +65,9 @@ impl SimilarityConfig {
     }
 }
 
-/// Tuning for the delta-propagation repair path ([`crate::delta_phi`]).
-/// Deliberately *not* part of [`SimilarityConfig`]: repair is a serving
-/// strategy, not part of the similarity model, and must never change what
-/// scores mean — only how fast they are refreshed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DeltaConfig {
-    /// Master switch; `false` restores evict-and-recompute everywhere.
-    pub enabled: bool,
-    /// Per-entry fallback threshold: give up on one record's repair once
-    /// its work exceeds this fraction of the recorded pass's edge
-    /// expansions. The default comes from the serve bench's churn sweep
-    /// (`BENCH_serve.json` `churn_sweep`): at 8× the recorded work every
-    /// repair that the sweep's 0.1%–1% churn levels produce completes
-    /// without tripping, while a genuinely explosive cascade still stops
-    /// at bounded cost.
-    pub max_churn: f64,
-    /// Sync-wide crossover guard: when one sync's weight delta touches
-    /// more than this fraction of the graph's edges, repair is skipped
-    /// wholesale and affected entries are evicted. Data-derived from the
-    /// churn sweep: repair beats eviction below ~0.1% edge churn, breaks
-    /// even around 1%, and loses ~3× at 10% — so past a few percent,
-    /// planning repairs is pure overhead.
-    pub bulk_churn_ceiling: f64,
-}
-
-impl Default for DeltaConfig {
-    fn default() -> Self {
-        DeltaConfig {
-            enabled: true,
-            max_churn: 8.0,
-            bulk_churn_ceiling: 0.02,
-        }
-    }
-}
-
-impl DeltaConfig {
-    /// A config with the repair path switched off.
-    pub fn disabled() -> Self {
-        DeltaConfig {
-            enabled: false,
-            ..Default::default()
-        }
-    }
-
-    /// Returns the config with the churn budget set to `max_churn`
-    /// (fraction of the recorded pass's work; must be finite and
-    /// non-negative).
-    pub fn with_max_churn(mut self, max_churn: f64) -> Self {
-        assert!(
-            max_churn.is_finite() && max_churn >= 0.0,
-            "max_churn must be finite and non-negative, got {max_churn}"
-        );
-        self.max_churn = max_churn;
-        self
-    }
-
-    /// Returns the config with the sync-wide bulk-churn ceiling set
-    /// (fraction of the graph's edges; must be finite and non-negative).
-    pub fn with_bulk_churn_ceiling(mut self, ceiling: f64) -> Self {
-        assert!(
-            ceiling.is_finite() && ceiling >= 0.0,
-            "bulk_churn_ceiling must be finite and non-negative, got {ceiling}"
-        );
-        self.bulk_churn_ceiling = ceiling;
-        self
-    }
-
-    /// Whether a sync whose delta covers `changed_edges` of a
-    /// `total_edges`-edge graph should attempt per-entry repairs at all
-    /// (see [`Self::bulk_churn_ceiling`]). The ceiling guards against
-    /// *bulk* rewrites; a handful of edited edges is never bulk, so small
-    /// deltas always qualify even on tiny graphs where one edge exceeds
-    /// the fraction.
-    pub fn worth_repairing(&self, changed_edges: usize, total_edges: usize) -> bool {
-        const SMALL_DELTA_FLOOR: usize = 32;
-        self.enabled
-            && (changed_edges <= SMALL_DELTA_FLOOR
-                || changed_edges as f64 <= self.bulk_churn_ceiling * total_edges.max(1) as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn delta_default_is_enabled() {
-        let d = DeltaConfig::default();
-        assert!(d.enabled);
-        assert!(d.max_churn > 0.0);
-        assert!(!DeltaConfig::disabled().enabled);
-        assert_eq!(DeltaConfig::default().with_max_churn(0.25).max_churn, 0.25);
-    }
-
-    #[test]
-    #[should_panic(expected = "max_churn")]
-    fn negative_max_churn_panics() {
-        DeltaConfig::default().with_max_churn(-0.1);
-    }
 
     #[test]
     fn default_matches_paper() {

@@ -1,5 +1,4 @@
-//! Incremental maintenance: which queries are affected by a weight
-//! change, and *repairing* a prior evaluation instead of redoing it.
+//! Incremental maintenance: which queries a weight change can affect.
 //!
 //! After an optimization pass adjusts a set of edges, a deployment with
 //! cached rankings only needs to re-rank the queries whose similarity
@@ -7,33 +6,11 @@
 //! reachable within `L` hops of `q` — i.e. edge `(u, v)` matters iff `u`
 //! lies within `L − 1` hops of `q`. Walking *backward* from the changed
 //! edges' sources finds all such queries in one sweep, regardless of how
-//! many queries exist ([`affected_queries`]).
-//!
-//! Knowing a query is affected used to mean evicting its cache entry and
-//! re-running the full frontier DP. [`delta_phi`] turns that eviction
-//! into a *repair*: [`PhiRecord`] captures the per-level frontier of a
-//! prior [`crate::PhiWorkspace::compute_recorded`] pass, and when a small
-//! set of edge weights changes, the repair re-derives only the masses
-//! downstream of the change — re-seeding from the frontier nodes that
-//! touch a changed edge and propagating corrections level by level.
-//!
-//! # Bitwise exactness
-//!
-//! The repaired scores are **bit-identical** to a fresh evaluation (with
-//! `prune_eps = 0`), not merely close. This works because the DP's float
-//! schedule is weight-independent as long as the *support* (which masses
-//! are non-zero) is unchanged: contributions into a node arrive in the
-//! frontier order of their sources, so the repair can gather a node's
-//! in-contributions, replay them in recorded source-position order, and
-//! fold from `0.0` exactly as the kernel would. Whenever that invariant
-//! cannot be maintained — a mass crossing zero (support change), frontier
-//! pruning enabled, a config or graph mismatch, or the repair work
-//! exceeding the configured churn budget — `delta_phi` refuses with a
-//! [`RepairFallback`] and the caller recomputes from scratch. Fallback is
-//! the safety net, never a correctness trade.
+//! many queries exist ([`affected_region`]; [`affected_queries`] filters
+//! a query list by it). The serving cache evicts exactly those queries
+//! and recomputes them on their next request.
 
-use crate::config::{DeltaConfig, SimilarityConfig};
-use crate::topk::{by_score_then_id, RankedAnswer};
+use crate::config::SimilarityConfig;
 use kg_graph::{EdgeId, KnowledgeGraph, NodeId};
 use std::collections::HashSet;
 
@@ -49,6 +26,24 @@ pub fn affected_queries(
     if changed.is_empty() || queries.is_empty() {
         return Vec::new();
     }
+    let region = affected_region(graph, changed, cfg);
+    queries
+        .iter()
+        .copied()
+        .filter(|q| region.contains(q))
+        .collect()
+}
+
+/// Every node whose scores, as a query, can change when the weights of
+/// `changed` edges change: the nodes within `L − 1` hops upstream of a
+/// changed edge's source. [`affected_queries`] filters a query list by
+/// this set; callers that test many query lists against one change set
+/// compute it once.
+pub fn affected_region(
+    graph: &KnowledgeGraph,
+    changed: &[EdgeId],
+    cfg: &SimilarityConfig,
+) -> HashSet<NodeId> {
     // Backward multi-source BFS from the changed edges' source nodes, up
     // to depth L-1 (a source at distance d from q puts the edge on walks
     // of length d+1 <= L).
@@ -65,190 +60,44 @@ pub fn affected_queries(
         depth += 1;
         let mut next = Vec::new();
         for &v in &frontier {
-            for e in graph.in_edges(v) {
-                if reached.insert(e.from) {
-                    next.push(e.from);
+            for &u in graph.in_row(v).0 {
+                if reached.insert(u) {
+                    next.push(u);
                 }
             }
         }
         frontier = next;
     }
-    queries
-        .iter()
-        .copied()
-        .filter(|q| reached.contains(q))
-        .collect()
+    reached
 }
 
-/// A replayable capture of one [`crate::PhiWorkspace::compute_recorded`]
-/// pass: the query, the config it ran under, every level's live frontier
-/// with masses, and the resulting phi scores. [`delta_phi`] edits this in
-/// place when edge weights change; [`PhiRecord::rank_into`] re-ranks from
-/// it without touching the graph.
-#[derive(Debug, Clone)]
+/// A capture of one [`crate::PhiWorkspace::rank_into_recorded`] pass:
+/// every level's live frontier with its walk masses, and the resulting
+/// phi scores. Filling it costs one append per frontier entry on top of
+/// the plain kernel; nothing in the serving path reads it. It is kept so
+/// the benchmark's per-layer Φ timing stays comparable across revisions.
+#[derive(Debug, Clone, Default)]
 pub struct PhiRecord {
-    pub(crate) query: NodeId,
-    pub(crate) restart: f64,
-    pub(crate) max_path_len: usize,
-    pub(crate) prune_eps: f64,
-    pub(crate) n: usize,
     // Every level's live frontier, flattened into one arena of
-    // `(node, mass)` pairs in *frontier order* — exactly the order the
-    // kernel first touched them, so a node's offset within its level is
-    // its frontier position: the order in which its own contributions
-    // were pushed downstream, which the repair must replay to stay
-    // bitwise faithful. Level `l` spans
+    // `(node, mass)` pairs in frontier order. Level `l` spans
     // `level_entries[level_offsets[l]..level_offsets[l + 1]]`; level 0
-    // is the query seed. Kept unsorted and contiguous so capture is a
-    // plain append and repair sweeps are a single linear scan; the
-    // repair builds dense per-level indices on demand instead of
-    // binary-searching.
-    pub(crate) level_entries: Vec<(NodeId, f64)>,
-    pub(crate) level_offsets: Vec<u32>,
-    // (node, phi) — exactly the touched set of the pass. Captured in
-    // discovery order (recording must not slow the kernel down with a
-    // sort); sorted by node lazily, the first time a consumer needs
-    // keyed lookups (`phi_sorted` tracks which).
-    pub(crate) phi: Vec<(NodeId, f64)>,
-    pub(crate) phi_sorted: bool,
-    // Edges the recorded pass expanded; the repair's work budget unit.
-    pub(crate) edge_ops: u64,
-    pub(crate) valid: bool,
-}
-
-impl Default for PhiRecord {
-    fn default() -> Self {
-        Self::new()
-    }
+    // is the query seed.
+    level_entries: Vec<(NodeId, f64)>,
+    level_offsets: Vec<u32>,
+    // (node, phi) for exactly the touched set of the pass, in discovery
+    // order.
+    phi: Vec<(NodeId, f64)>,
 }
 
 impl PhiRecord {
-    /// An empty, invalid record; fill it with
-    /// [`crate::PhiWorkspace::compute_recorded`].
+    /// An empty record; fill it with
+    /// [`crate::PhiWorkspace::rank_into_recorded`].
     pub fn new() -> Self {
-        PhiRecord {
-            query: NodeId(0),
-            restart: 0.0,
-            max_path_len: 0,
-            prune_eps: 0.0,
-            n: 0,
-            level_entries: Vec::new(),
-            level_offsets: Vec::new(),
-            phi: Vec::new(),
-            phi_sorted: false,
-            edge_ops: 0,
-            valid: false,
-        }
+        Self::default()
     }
 
-    /// Sorts the phi table by node for binary-searched lookups; a no-op
-    /// once sorted (clones inherit sortedness, so at most one sort per
-    /// captured pass however many consumers follow).
-    pub(crate) fn sort_phi(&mut self) {
-        if !self.phi_sorted {
-            self.phi.sort_unstable_by_key(|e| e.0);
-            self.phi_sorted = true;
-        }
-    }
-
-    /// Levels captured by the recorded pass (level 0 is the query seed).
-    fn used_levels(&self) -> usize {
-        self.level_offsets.len().saturating_sub(1)
-    }
-
-    /// Level `l`'s live frontier, in frontier order.
-    fn level(&self, l: usize) -> &[(NodeId, f64)] {
-        &self.level_entries[self.level_offsets[l] as usize..self.level_offsets[l + 1] as usize]
-    }
-
-    /// True when the record holds a usable capture. A record is
-    /// invalidated by a failed repair (the caller must recompute) and
-    /// revalidated by the next recorded pass.
-    pub fn is_valid(&self) -> bool {
-        self.valid
-    }
-
-    /// Marks the record unusable, forcing the next consumer to recompute.
-    pub fn invalidate(&mut self) {
-        self.valid = false;
-    }
-
-    /// The query the record was computed for.
-    pub fn query(&self) -> NodeId {
-        self.query
-    }
-
-    /// Edges expanded by the recorded pass.
-    pub fn edge_ops(&self) -> u64 {
-        self.edge_ops
-    }
-
-    /// The recorded `Φ(query, node)` (`0.0` for unreached nodes) —
-    /// bitwise equal to what [`crate::PhiWorkspace::phi`] returned for
-    /// the recorded pass, and kept equal to a fresh evaluation across
-    /// successful [`delta_phi`] repairs.
-    pub fn phi(&self, node: NodeId) -> f64 {
-        if self.phi_sorted {
-            match self.phi.binary_search_by_key(&node, |e| e.0) {
-                Ok(i) => self.phi[i].1,
-                Err(_) => 0.0,
-            }
-        } else {
-            // Not yet sorted (fresh capture): linear scan. Hot consumers
-            // ([`delta_phi_apply`], [`Self::rank_into`]) sort first.
-            self.phi
-                .iter()
-                .find(|e| e.0 == node)
-                .map(|e| e.1)
-                .unwrap_or(0.0)
-        }
-    }
-
-    /// Ranks `answers` from the recorded scores with the same ordering
-    /// and tie-breaking as [`crate::rank_answers`]. `scored` is caller
-    /// scratch (contents ignored); allocation-free once both buffers are
-    /// at capacity (after the one-time lazy phi sort).
-    pub fn rank_into(
-        &mut self,
-        answers: &[NodeId],
-        k: usize,
-        scored: &mut Vec<(NodeId, f64)>,
-        out: &mut Vec<RankedAnswer>,
-    ) {
-        self.sort_phi();
-        scored.clear();
-        scored.extend(answers.iter().map(|&a| (a, self.phi(a))));
-        scored.sort_unstable_by(by_score_then_id);
-        scored.truncate(k);
-        out.clear();
-        out.extend(
-            scored
-                .iter()
-                .enumerate()
-                .map(|(i, &(node, score))| RankedAnswer {
-                    node,
-                    score,
-                    rank: i + 1,
-                }),
-        );
-    }
-
-    /// Approximate heap footprint, for cache accounting.
-    pub fn memory_bytes(&self) -> usize {
-        self.level_entries.capacity() * std::mem::size_of::<(NodeId, f64)>()
-            + self.level_offsets.capacity() * std::mem::size_of::<u32>()
-            + self.phi.capacity() * std::mem::size_of::<(NodeId, f64)>()
-    }
-
-    pub(crate) fn begin(&mut self, query: NodeId, cfg: &SimilarityConfig, n: usize) {
-        self.valid = false;
-        self.query = query;
-        self.restart = cfg.restart;
-        self.max_path_len = cfg.max_path_len;
-        self.prune_eps = cfg.prune_eps;
-        self.n = n;
-        self.edge_ops = 0;
-        // Level 0: all mass on the query, at frontier position 0.
+    pub(crate) fn begin(&mut self, query: NodeId) {
+        // Level 0: all mass on the query.
         self.level_entries.clear();
         self.level_offsets.clear();
         self.level_offsets.push(0);
@@ -257,509 +106,16 @@ impl PhiRecord {
     }
 
     pub(crate) fn push_level(&mut self, frontier: &[NodeId], mass: &[f64]) {
-        // A straight append into the flat arena — no sorting, no
-        // per-level allocations, so recording a pass costs little more
-        // than the pass itself.
         self.level_entries
             .extend(frontier.iter().map(|&v| (v, mass[v.index()])));
         self.level_offsets.push(self.level_entries.len() as u32);
     }
 
-    pub(crate) fn finish(&mut self, touched: &[NodeId], phi: &[f64], edge_ops: u64) {
+    pub(crate) fn finish(&mut self, touched: &[NodeId], phi: &[f64]) {
         self.phi.clear();
         self.phi
             .extend(touched.iter().map(|&v| (v, phi[v.index()])));
-        // Deliberately left in discovery order — the sort is deferred to
-        // the first keyed consumer ([`Self::sort_phi`]) so pure cache
-        // fills never pay it.
-        self.phi_sorted = false;
-        self.edge_ops = edge_ops;
-        self.valid = true;
     }
-}
-
-/// Reusable scratch for [`delta_phi`]; allocation-free once warm.
-#[derive(Debug, Clone, Default)]
-pub struct RepairScratch {
-    // Dense dedup stamps (candidate set per level, phi-dirty set per call).
-    cand_stamp: Vec<u64>,
-    cand_token: u64,
-    phi_stamp: Vec<u64>,
-    phi_token: u64,
-    candidates: Vec<NodeId>,
-    // Nodes dirty at the previous/current level with their *planned*
-    // (not yet committed) masses, overlaying the record during cascades.
-    prev_dirty: Vec<(NodeId, f64)>,
-    cur_dirty: Vec<(NodeId, f64)>,
-    phi_dirty: Vec<NodeId>,
-    // The loaded delta ([`RepairScratch::load_delta`]): changed-edge
-    // sources stamped densely, and the changed `(src, dst)` pairs sorted
-    // by source. Loaded once per weight delta and shared by every plan
-    // against it, so per-plan cost never scales with the churn size.
-    delta_src_stamp: Vec<u64>,
-    delta_token: u64,
-    delta_out: Vec<(NodeId, NodeId)>,
-    delta_changed: usize,
-    delta_loaded: bool,
-    delta_oob: bool,
-    // (source frontier position, contribution) replay buffer.
-    contributions: Vec<(u32, f64)>,
-    // The plan: (arena entry index, new mass) writes awaiting apply.
-    commits: Vec<(u32, f64)>,
-    // Dense view of the previous level (stamped lazily per level): a
-    // node's frontier position and mass, valid when its stamp matches.
-    prev_stamp: Vec<u64>,
-    prev_token: u64,
-    prev_pos: Vec<u32>,
-    prev_mass: Vec<f64>,
-    // Dense entry index into the current level, for in-place commits.
-    idx_stamp: Vec<u64>,
-    idx_token: u64,
-    cur_idx: Vec<u32>,
-    // Dense phi accumulators for the final re-fold sweep.
-    phi_acc: Vec<f64>,
-    /// Ranking scratch, for callers re-ranking from a repaired record.
-    pub scored: Vec<(NodeId, f64)>,
-}
-
-impl RepairScratch {
-    /// Fresh scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn ensure(&mut self, n: usize) {
-        if self.cand_stamp.len() < n {
-            self.cand_stamp.resize(n, 0);
-            self.phi_stamp.resize(n, 0);
-            self.delta_src_stamp.resize(n, 0);
-            self.prev_stamp.resize(n, 0);
-            self.prev_pos.resize(n, 0);
-            self.prev_mass.resize(n, 0.0);
-            self.idx_stamp.resize(n, 0);
-            self.cur_idx.resize(n, 0);
-            self.phi_acc.resize(n, 0.0);
-        }
-    }
-
-    /// Loads a weight delta into the scratch so any number of
-    /// [`delta_phi_plan`] calls can be made against it. Stamps each
-    /// changed edge's source node and keeps the `(src, dst)` pairs sorted
-    /// by source — O(|changed| log |changed|) once, instead of per plan.
-    /// Callers repairing a batch of records against one delta (a server
-    /// sync) load once and plan per record.
-    pub fn load_delta(&mut self, graph: &KnowledgeGraph, changed: &[EdgeId]) {
-        self.ensure(graph.node_count());
-        self.delta_token += 1;
-        self.delta_out.clear();
-        self.delta_changed = changed.len();
-        self.delta_loaded = true;
-        self.delta_oob = false;
-        for &e in changed {
-            if e.index() >= graph.edge_count() {
-                self.delta_oob = true;
-                continue;
-            }
-            let (u, v) = graph.endpoints(e);
-            self.delta_src_stamp[u.index()] = self.delta_token;
-            self.delta_out.push((u, v));
-        }
-        self.delta_out.sort_unstable_by_key(|&(u, _)| u);
-    }
-
-    /// Whether the most recent [`delta_phi_plan`] on this scratch moved
-    /// `node`'s phi score. Only meaningful right after a plan that
-    /// planned at least one commit (nonzero
-    /// [`RepairStats::repaired_masses`]) and before the next plan;
-    /// callers use it to skip re-ranking answer lists whose scores
-    /// provably did not change.
-    pub fn phi_changed(&self, node: NodeId) -> bool {
-        self.phi_stamp.get(node.index()) == Some(&self.phi_token)
-    }
-}
-
-/// Why [`delta_phi`] declined to repair. Every variant means "recompute
-/// from scratch"; none means the record produced wrong answers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RepairFallback {
-    /// The delta path is switched off in [`DeltaConfig`].
-    Disabled,
-    /// The record was poisoned by an earlier failed repair (or never
-    /// filled).
-    Invalidated,
-    /// The caller's [`SimilarityConfig`] differs from the recorded one.
-    ConfigMismatch,
-    /// The record was taken with `prune_eps > 0`; pruning makes the float
-    /// schedule weight-dependent, so only exact passes are repairable.
-    Pruned,
-    /// The graph's node count changed — different topology.
-    GraphMismatch,
-    /// A repaired mass crossed zero, changing the DP's live support and
-    /// with it the downstream accumulation order.
-    ZeroCrossing,
-    /// Estimated repair work exceeded `max_churn` × the recorded pass's
-    /// cost; a full recompute is cheaper.
-    ChurnExceeded,
-    /// The record and graph disagree structurally (defensive; indicates
-    /// the record belongs to a different graph).
-    Inconsistent,
-}
-
-impl RepairFallback {
-    /// Telemetry counter name for this fallback reason.
-    pub fn counter_name(self) -> &'static str {
-        match self {
-            RepairFallback::Disabled => "votekg.sim.delta.fallback.disabled",
-            RepairFallback::Invalidated => "votekg.sim.delta.fallback.invalidated",
-            RepairFallback::ConfigMismatch => "votekg.sim.delta.fallback.config_mismatch",
-            RepairFallback::Pruned => "votekg.sim.delta.fallback.pruned",
-            RepairFallback::GraphMismatch => "votekg.sim.delta.fallback.graph_mismatch",
-            RepairFallback::ZeroCrossing => "votekg.sim.delta.fallback.zero_crossing",
-            RepairFallback::ChurnExceeded => "votekg.sim.delta.fallback.churn_exceeded",
-            RepairFallback::Inconsistent => "votekg.sim.delta.fallback.inconsistent",
-        }
-    }
-}
-
-/// What a successful repair did, for telemetry and fallback tuning.
-#[derive(Debug, Default, Clone, Copy, PartialEq)]
-pub struct RepairStats {
-    /// Frontier masses rewritten across all levels.
-    pub repaired_masses: usize,
-    /// Phi scores recomputed.
-    pub dirty_phi: usize,
-    /// Edges the repair visited (compare against
-    /// [`PhiRecord::edge_ops`]).
-    pub repair_ops: u64,
-    /// Largest `|phi_new − phi_old|` correction applied.
-    pub max_correction: f64,
-}
-
-/// Repairs `record` in place so it reflects `graph`'s *current* weights,
-/// given that exactly the weights of `changed` edges moved since the
-/// record was captured. On success the record's scores are bitwise equal
-/// to a fresh [`crate::PhiWorkspace::compute`] pass on the current
-/// weights. On any [`RepairFallback`] the record is poisoned
-/// ([`PhiRecord::is_valid`] turns false) and the caller must recompute —
-/// partial repairs are never left behind as "valid".
-///
-/// `changed` must be a *superset* of the edges whose weight differs from
-/// capture time (extra unchanged edges are harmless; a missed changed
-/// edge silently yields stale scores). [`kg_graph::WeightDelta`] provides
-/// exactly this set.
-pub fn delta_phi(
-    graph: &KnowledgeGraph,
-    record: &mut PhiRecord,
-    changed: &[EdgeId],
-    cfg: &SimilarityConfig,
-    delta: &DeltaConfig,
-    scratch: &mut RepairScratch,
-) -> Result<RepairStats, RepairFallback> {
-    scratch.load_delta(graph, changed);
-    match delta_phi_plan(graph, record, cfg, delta, scratch) {
-        Ok(mut stats) => {
-            delta_phi_apply(record, scratch, &mut stats)?;
-            Ok(stats)
-        }
-        Err(why) => {
-            record.valid = false;
-            Err(why)
-        }
-    }
-}
-
-/// The read-only planning half of [`delta_phi`]: computes every frontier
-/// mass the weight changes move — including the full downstream cascade
-/// and all budget / zero-crossing refusals — *without touching the
-/// record*, leaving the commit list in `scratch`. Callers holding
-/// records behind shared pointers probe repairability here first and
-/// only pay for a deep copy when the plan succeeds: on `Ok`, clone the
-/// record and feed it to [`delta_phi_apply`] with the same scratch; on
-/// `Err`, drop or recompute it. A failed plan does **not** poison the
-/// record (it cannot — the record is immutable here), so the caller is
-/// responsible for not serving the now-stale record.
-///
-/// The weight delta must have been loaded into the scratch with
-/// [`RepairScratch::load_delta`] first; one load serves any number of
-/// plans, so repairing a whole cache against one delta costs
-/// O(|changed|) once plus O(record) per entry.
-pub fn delta_phi_plan(
-    graph: &KnowledgeGraph,
-    record: &PhiRecord,
-    cfg: &SimilarityConfig,
-    delta: &DeltaConfig,
-    scratch: &mut RepairScratch,
-) -> Result<RepairStats, RepairFallback> {
-    let fail = |why: RepairFallback| -> Result<RepairStats, RepairFallback> {
-        if kg_telemetry::is_enabled() {
-            kg_telemetry::counter("votekg.sim.delta.fallback").incr();
-            kg_telemetry::counter(why.counter_name()).incr();
-        }
-        Err(why)
-    };
-    // An early `Ok` must leave an *empty* plan behind, never a stale one.
-    scratch.commits.clear();
-    scratch.phi_dirty.clear();
-    if !delta.enabled {
-        return fail(RepairFallback::Disabled);
-    }
-    if !record.valid {
-        return fail(RepairFallback::Invalidated);
-    }
-    if cfg.restart.to_bits() != record.restart.to_bits()
-        || cfg.max_path_len != record.max_path_len
-        || cfg.prune_eps.to_bits() != record.prune_eps.to_bits()
-    {
-        return fail(RepairFallback::ConfigMismatch);
-    }
-    if record.prune_eps != 0.0 {
-        return fail(RepairFallback::Pruned);
-    }
-    if graph.node_count() != record.n {
-        return fail(RepairFallback::GraphMismatch);
-    }
-    if !scratch.delta_loaded || scratch.delta_oob {
-        // No delta loaded, or it referenced edges this graph does not
-        // have — either way the scratch and graph disagree.
-        return fail(RepairFallback::Inconsistent);
-    }
-    let mut stats = RepairStats::default();
-    if scratch.delta_changed == 0 {
-        return Ok(stats);
-    }
-    let mut span = kg_telemetry::span!("votekg.sim.delta.repair", {
-        changed: scratch.delta_changed as u64,
-    });
-
-    scratch.ensure(record.n);
-    // Fast path: a changed edge can only move recorded mass if its
-    // source was touched by the recorded pass. `record.phi` is exactly
-    // the touched set — probe each touched node against the loaded
-    // delta's source stamps, O(record) regardless of churn size.
-    let delta_token = scratch.delta_token;
-    let overlaps = scratch.delta_src_stamp[record.query.index()] == delta_token
-        || record
-            .phi
-            .iter()
-            .any(|&(u, _)| scratch.delta_src_stamp[u.index()] == delta_token);
-    if !overlaps {
-        return Ok(stats);
-    }
-
-    let budget = delta.max_churn * record.edge_ops as f64;
-    // Edge-work the repair performs (in-edge gathers + dirty frontier
-    // expansions), in the same unit as the recorded pass's `edge_ops`.
-    // Per-level stamping of the recorded frontiers is not counted — it
-    // is O(touched) bookkeeping, several times cheaper per element than
-    // kernel edge expansion.
-    let mut repair_ops = 0u64;
-
-    scratch.prev_dirty.clear();
-    scratch.phi_token += 1;
-    let phi_token = scratch.phi_token;
-
-    for l in 1..record.used_levels() {
-        // Candidate set: nodes whose level-`l` mass may have moved —
-        // targets of changed edges with a live source at `l − 1`, plus
-        // every out-neighbor of a node already dirty at `l − 1`. Sources
-        // are found by scanning the (tiny) recorded frontier against the
-        // loaded delta's stamps, never the delta itself, so clean levels
-        // cost one probe per frontier node.
-        scratch.cand_token += 1;
-        let cand_token = scratch.cand_token;
-        scratch.candidates.clear();
-        for &(u, m) in record.level(l - 1) {
-            if scratch.delta_src_stamp[u.index()] == delta_token && m != 0.0 {
-                let lo = scratch.delta_out.partition_point(|&(s, _)| s < u);
-                for &(s, v) in &scratch.delta_out[lo..] {
-                    if s != u {
-                        break;
-                    }
-                    if scratch.cand_stamp[v.index()] != cand_token {
-                        scratch.cand_stamp[v.index()] = cand_token;
-                        scratch.candidates.push(v);
-                    }
-                }
-            }
-        }
-        for &(u, _) in &scratch.prev_dirty {
-            let (targets, _) = graph.out_row(u);
-            repair_ops += targets.len() as u64;
-            for &t in targets {
-                if scratch.cand_stamp[t.index()] != cand_token {
-                    scratch.cand_stamp[t.index()] = cand_token;
-                    scratch.candidates.push(t);
-                }
-            }
-        }
-        if repair_ops as f64 > budget {
-            return fail(RepairFallback::ChurnExceeded);
-        }
-        if scratch.candidates.is_empty() {
-            scratch.prev_dirty.clear();
-            continue;
-        }
-
-        // Dense view of level l − 1: frontier position and mass per
-        // node, O(1) to probe during contribution gathering. Planned
-        // corrections from the previous iteration overlay the recorded
-        // masses, so the cascade folds from repaired values without the
-        // record changing. Only built for levels that actually have
-        // candidates.
-        scratch.prev_token += 1;
-        let prev_token = scratch.prev_token;
-        for (i, &(u, m)) in record.level(l - 1).iter().enumerate() {
-            let ui = u.index();
-            scratch.prev_stamp[ui] = prev_token;
-            scratch.prev_pos[ui] = i as u32;
-            scratch.prev_mass[ui] = m;
-        }
-        for &(u, planned) in &scratch.prev_dirty {
-            scratch.prev_mass[u.index()] = planned;
-        }
-
-        // Dense entry index (absolute arena offsets) for level l, so
-        // old-mass reads and planned commits are O(1).
-        scratch.idx_token += 1;
-        let idx_token = scratch.idx_token;
-        let base = record.level_offsets[l];
-        for (i, &(v, _)) in record.level(l).iter().enumerate() {
-            let vi = v.index();
-            scratch.idx_stamp[vi] = idx_token;
-            scratch.cur_idx[vi] = base + i as u32;
-        }
-
-        scratch.cur_dirty.clear();
-        let candidates = std::mem::take(&mut scratch.candidates);
-        for &v in &candidates {
-            // Replay v's in-contributions in the order the kernel pushed
-            // them: source frontier position at level l − 1.
-            let (sources, edge_ids) = graph.in_row(v);
-            repair_ops += sources.len() as u64;
-            if repair_ops as f64 > budget {
-                // Trip before gathering, so a doomed plan stops at the
-                // first over-budget candidate instead of finishing the
-                // level.
-                return fail(RepairFallback::ChurnExceeded);
-            }
-            scratch.contributions.clear();
-            for (&src, &eid) in sources.iter().zip(edge_ids) {
-                let si = src.index();
-                if scratch.prev_stamp[si] == prev_token && scratch.prev_mass[si] != 0.0 {
-                    scratch.contributions.push((
-                        scratch.prev_pos[si],
-                        scratch.prev_mass[si] * graph.weight(eid),
-                    ));
-                }
-            }
-            scratch.contributions.sort_unstable_by_key(|&(pos, _)| pos);
-            let mut new_mass = 0.0f64;
-            for &(_, x) in &scratch.contributions {
-                new_mass += x;
-            }
-            let vi = v.index();
-            if scratch.idx_stamp[vi] != idx_token {
-                // Touch is weight-independent, so a live-sourced target
-                // must have been recorded; its absence means the record
-                // belongs to a different graph.
-                return fail(RepairFallback::Inconsistent);
-            }
-            let ei = scratch.cur_idx[vi] as usize;
-            let old_mass = record.level_entries[ei].1;
-            if new_mass.to_bits() == old_mass.to_bits() {
-                continue;
-            }
-            if (new_mass == 0.0) != (old_mass == 0.0) {
-                // Support change: the fresh DP would walk (or skip) edges
-                // this record never saw, reordering downstream folds.
-                return fail(RepairFallback::ZeroCrossing);
-            }
-            scratch.commits.push((ei as u32, new_mass));
-            stats.repaired_masses += 1;
-            scratch.cur_dirty.push((v, new_mass));
-            if scratch.phi_stamp[vi] != phi_token {
-                scratch.phi_stamp[vi] = phi_token;
-                scratch.phi_dirty.push(v);
-            }
-        }
-        scratch.candidates = candidates;
-        if repair_ops as f64 > budget {
-            return fail(RepairFallback::ChurnExceeded);
-        }
-        std::mem::swap(&mut scratch.prev_dirty, &mut scratch.cur_dirty);
-    }
-
-    stats.repair_ops = repair_ops;
-    if kg_telemetry::is_enabled() {
-        span.field("repaired_masses", stats.repaired_masses as u64);
-        span.field("repair_ops", stats.repair_ops);
-    }
-    Ok(stats)
-}
-
-/// Commits a successful [`delta_phi_plan`] into `record`: writes the
-/// planned frontier masses, then re-folds phi for every node whose mass
-/// moved at any level, exactly as the kernel accumulates it — seed (`c`
-/// at level 0 for the query), then `+= c · decay_l · mass_l` in level
-/// order. One sweep over the recorded frontiers feeding dense per-node
-/// accumulators preserves that order without sorted levels.
-///
-/// Must be called with the same `scratch` the plan filled, with no
-/// intervening plan, against the planned record (or a clone of it).
-/// `stats` is extended with the phi-side numbers.
-pub fn delta_phi_apply(
-    record: &mut PhiRecord,
-    scratch: &mut RepairScratch,
-    stats: &mut RepairStats,
-) -> Result<(), RepairFallback> {
-    for &(ei, m) in &scratch.commits {
-        record.level_entries[ei as usize].1 = m;
-    }
-    let phi_token = scratch.phi_token;
-    if !scratch.phi_dirty.is_empty() {
-        record.sort_phi();
-        let c = record.restart;
-        for &v in &scratch.phi_dirty {
-            scratch.phi_acc[v.index()] = if v == record.query { c } else { 0.0 };
-        }
-        let mut decay = 1.0;
-        for l in 1..record.used_levels() {
-            decay *= 1.0 - c;
-            for &(v, m) in record.level(l) {
-                let vi = v.index();
-                if scratch.phi_stamp[vi] == phi_token {
-                    scratch.phi_acc[vi] += c * decay * m;
-                }
-            }
-        }
-        for &v in &scratch.phi_dirty {
-            let x = scratch.phi_acc[v.index()];
-            let Ok(pi) = record.phi.binary_search_by_key(&v, |e| e.0) else {
-                record.valid = false;
-                if kg_telemetry::is_enabled() {
-                    kg_telemetry::counter("votekg.sim.delta.fallback").incr();
-                    kg_telemetry::counter(RepairFallback::Inconsistent.counter_name()).incr();
-                }
-                return Err(RepairFallback::Inconsistent);
-            };
-            let corr = (x - record.phi[pi].1).abs();
-            if corr > stats.max_correction {
-                stats.max_correction = corr;
-            }
-            record.phi[pi].1 = x;
-        }
-    }
-
-    stats.dirty_phi = scratch.phi_dirty.len();
-    if kg_telemetry::is_enabled() {
-        kg_telemetry::counter("votekg.sim.delta.repaired").incr();
-        kg_telemetry::counter("votekg.sim.delta.repaired_masses").add(stats.repaired_masses as u64);
-        // Histogram of correction magnitudes in picounits: phi scores
-        // live in (0, 1], so 1e12 keeps sub-ulp corrections resolvable.
-        kg_telemetry::histogram("votekg.sim.delta.correction_pico")
-            .record((stats.max_correction * 1e12) as u64);
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -869,250 +225,26 @@ mod tests {
         (g, queries, answers)
     }
 
-    /// Repaired records must match an uncached evaluation bit for bit.
-    fn assert_record_bitwise_fresh(g: &KnowledgeGraph, record: &PhiRecord, cfg: &SimilarityConfig) {
-        let mut ws = PhiWorkspace::new();
-        ws.compute(g, record.query(), cfg);
-        for v in g.nodes() {
-            assert_eq!(
-                record.phi(v).to_bits(),
-                ws.phi(v).to_bits(),
-                "query {}, node {v}: repaired {} vs fresh {}",
-                record.query(),
-                record.phi(v),
-                ws.phi(v)
-            );
-        }
-    }
-
     #[test]
     fn recorded_pass_is_bitwise_identical_to_plain_compute() {
+        let cfg = SimilarityConfig::default();
         for seed in 0..5 {
-            let (g, queries, _) = random_graph(seed);
-            let cfg = SimilarityConfig::default();
+            let (g, queries, answers) = random_graph(seed);
             let mut ws = PhiWorkspace::new();
             let mut record = PhiRecord::new();
+            let (mut recorded, mut plain) = (Vec::new(), Vec::new());
             for &q in &queries {
-                ws.compute_recorded(&g, q, &cfg, &mut record);
-                assert!(record.is_valid());
-                assert_eq!(record.query(), q);
-                assert!(record.edge_ops() > 0);
-                for v in g.nodes() {
-                    assert_eq!(record.phi(v).to_bits(), ws.phi(v).to_bits());
+                ws.rank_into_recorded(&g, q, &answers, &cfg, 4, &mut recorded, &mut record);
+                // The record's score table is exactly the pass's touched set.
+                assert_eq!(record.phi.len(), ws.reached().len());
+                for &(v, phi) in &record.phi {
+                    assert_eq!(phi.to_bits(), ws.phi(v).to_bits());
                 }
+                assert_eq!(record.level_entries[0], (q, 1.0));
+                ws.rank_into(&g, q, &answers, &cfg, 4, &mut plain);
+                assert_eq!(recorded, plain);
             }
         }
-    }
-
-    #[test]
-    fn repair_after_single_edit_is_bitwise_exact() {
-        for seed in 0..8 {
-            let (mut g, queries, _) = random_graph(seed);
-            let cfg = SimilarityConfig::default();
-            let delta = DeltaConfig::default();
-            let mut ws = PhiWorkspace::new();
-            let mut scratch = RepairScratch::new();
-            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xD5);
-            for &q in &queries {
-                let mut record = PhiRecord::new();
-                ws.compute_recorded(&g, q, &cfg, &mut record);
-                let e = EdgeId(rng.gen_range(0..g.edge_count() as u32));
-                let w = g.weight(e);
-                g.set_weight(e, w * 0.5 + 0.01).unwrap();
-                match delta_phi(&g, &mut record, &[e], &cfg, &delta, &mut scratch) {
-                    Ok(_) => assert_record_bitwise_fresh(&g, &record, &cfg),
-                    Err(why) => {
-                        assert!(!record.is_valid(), "failed repair must poison: {why:?}")
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn repair_accumulates_across_many_rounds() {
-        let (mut g, queries, _) = random_graph(2);
-        let cfg = SimilarityConfig::default();
-        let delta = DeltaConfig::default();
-        let mut ws = PhiWorkspace::new();
-        let mut scratch = RepairScratch::new();
-        let mut rng = ChaCha8Rng::seed_from_u64(99);
-        let q = queries[0];
-        let mut record = PhiRecord::new();
-        ws.compute_recorded(&g, q, &cfg, &mut record);
-        let mut repairs = 0;
-        for _round in 0..30 {
-            let k = rng.gen_range(1..4);
-            let mut changed: Vec<EdgeId> = (0..k)
-                .map(|_| EdgeId(rng.gen_range(0..g.edge_count() as u32)))
-                .collect();
-            changed.sort_unstable();
-            changed.dedup();
-            for &e in &changed {
-                let w = g.weight(e);
-                g.set_weight(e, (w * rng.gen_range(0.4f64..1.6)).min(5.0))
-                    .unwrap();
-            }
-            match delta_phi(&g, &mut record, &changed, &cfg, &delta, &mut scratch) {
-                Ok(_) => {
-                    repairs += 1;
-                    assert_record_bitwise_fresh(&g, &record, &cfg);
-                }
-                Err(_) => ws.compute_recorded(&g, q, &cfg, &mut record),
-            }
-        }
-        // On a graph this small the churn breaker legitimately fires for
-        // multi-edge rounds (a 3-edge cascade covers most of the graph);
-        // the point here is that repair keeps succeeding bitwise across
-        // interleaved repairs and fallback-recomputes, not the hit rate.
-        assert!(repairs >= 10, "only {repairs}/30 rounds repaired");
-    }
-
-    #[test]
-    fn unchanged_weight_in_delta_is_a_noop_repair() {
-        let (g, queries, _) = random_graph(4);
-        let cfg = SimilarityConfig::default();
-        let mut ws = PhiWorkspace::new();
-        let mut record = PhiRecord::new();
-        ws.compute_recorded(&g, queries[1], &cfg, &mut record);
-        let before = record.clone();
-        let stats = delta_phi(
-            &g,
-            &mut record,
-            &[EdgeId(0), EdgeId(3)],
-            &cfg,
-            &DeltaConfig::default(),
-            &mut RepairScratch::new(),
-        )
-        .unwrap();
-        assert_eq!(stats.repaired_masses, 0);
-        assert_eq!(stats.dirty_phi, 0);
-        for v in g.nodes() {
-            assert_eq!(record.phi(v).to_bits(), before.phi(v).to_bits());
-        }
-    }
-
-    #[test]
-    fn zero_crossing_falls_back() {
-        // q -> a with the only mass path through edge e; zeroing e kills
-        // the support, which repair must refuse to model.
-        let mut b = GraphBuilder::new();
-        let q = b.add_node("q", NodeKind::Query);
-        let h = b.add_node("h", NodeKind::Entity);
-        let a = b.add_node("a", NodeKind::Answer);
-        let e0 = b.add_edge(q, h, 1.0).unwrap();
-        b.add_edge(h, a, 1.0).unwrap();
-        let mut g = b.build();
-        let cfg = SimilarityConfig::default();
-        let mut ws = PhiWorkspace::new();
-        let mut record = PhiRecord::new();
-        ws.compute_recorded(&g, q, &cfg, &mut record);
-        g.set_weight(e0, 0.0).unwrap();
-        let err = delta_phi(
-            &g,
-            &mut record,
-            &[e0],
-            &cfg,
-            &DeltaConfig::default(),
-            &mut RepairScratch::new(),
-        )
-        .unwrap_err();
-        assert_eq!(err, RepairFallback::ZeroCrossing);
-        assert!(!record.is_valid());
-    }
-
-    #[test]
-    fn guard_rails_reject_mismatches() {
-        let (mut g, queries, _) = random_graph(5);
-        let cfg = SimilarityConfig::default();
-        let mut ws = PhiWorkspace::new();
-        let mut scratch = RepairScratch::new();
-        let mut record = PhiRecord::new();
-        let changed = [EdgeId(0)];
-        g.set_weight(EdgeId(0), 0.123).unwrap();
-
-        // Never filled.
-        let err = delta_phi(
-            &g,
-            &mut record,
-            &changed,
-            &cfg,
-            &DeltaConfig::default(),
-            &mut scratch,
-        );
-        assert_eq!(err.unwrap_err(), RepairFallback::Invalidated);
-
-        // Disabled config.
-        ws.compute_recorded(&g, queries[0], &cfg, &mut record);
-        let err = delta_phi(
-            &g,
-            &mut record,
-            &changed,
-            &cfg,
-            &DeltaConfig::disabled(),
-            &mut scratch,
-        );
-        assert_eq!(err.unwrap_err(), RepairFallback::Disabled);
-
-        // Different similarity config.
-        ws.compute_recorded(&g, queries[0], &cfg, &mut record);
-        let other = SimilarityConfig::new(0.2, 5);
-        let err = delta_phi(
-            &g,
-            &mut record,
-            &changed,
-            &other,
-            &DeltaConfig::default(),
-            &mut scratch,
-        );
-        assert_eq!(err.unwrap_err(), RepairFallback::ConfigMismatch);
-
-        // Pruned pass.
-        let pruned = cfg.with_prune_eps(1e-3);
-        ws.compute_recorded(&g, queries[0], &pruned, &mut record);
-        let err = delta_phi(
-            &g,
-            &mut record,
-            &changed,
-            &pruned,
-            &DeltaConfig::default(),
-            &mut scratch,
-        );
-        assert_eq!(err.unwrap_err(), RepairFallback::Pruned);
-
-        // Zero churn budget: any real work trips the breaker.
-        ws.compute_recorded(&g, queries[0], &cfg, &mut record);
-        g.set_weight(EdgeId(0), 0.456).unwrap();
-        let tight = DeltaConfig::default().with_max_churn(0.0);
-        let err = delta_phi(&g, &mut record, &changed, &cfg, &tight, &mut scratch);
-        assert_eq!(err.unwrap_err(), RepairFallback::ChurnExceeded);
-    }
-
-    #[test]
-    fn record_rank_into_matches_workspace_ranking() {
-        let (mut g, queries, answers) = random_graph(6);
-        let cfg = SimilarityConfig::default();
-        let mut ws = PhiWorkspace::new();
-        let mut record = PhiRecord::new();
-        let mut scratch = RepairScratch::new();
-        let q = queries[2];
-        ws.compute_recorded(&g, q, &cfg, &mut record);
-        g.set_weight(EdgeId(1), g.weight(EdgeId(1)) * 0.7 + 0.02)
-            .unwrap();
-        delta_phi(
-            &g,
-            &mut record,
-            &[EdgeId(1)],
-            &cfg,
-            &DeltaConfig::default(),
-            &mut scratch,
-        )
-        .unwrap();
-        let mut from_record = Vec::new();
-        record.rank_into(&answers, 4, &mut scratch.scored, &mut from_record);
-        let mut fresh = Vec::new();
-        ws.rank_into(&g, q, &answers, &cfg, 4, &mut fresh);
-        assert_eq!(from_record, fresh);
     }
 
     /// Soundness against the engine: if a query is NOT reported affected,

@@ -65,9 +65,6 @@ pub struct PhiWorkspace {
     n: usize,
     // Upper bound on the phi error introduced by `prune_eps` this pass.
     pruned_bound: f64,
-    // Edges expanded by the most recent pass (the pass's work measure;
-    // delta repair budgets itself against this).
-    edge_ops: u64,
 }
 
 impl PhiWorkspace {
@@ -105,22 +102,6 @@ impl PhiWorkspace {
         self.compute_impl(graph, query, cfg, None);
     }
 
-    /// Like [`Self::compute`], but additionally captures the pass's
-    /// per-level frontier state into `record`, enabling later incremental
-    /// repair through [`crate::delta_phi`] when a few edge weights change.
-    /// The recorded scores are the *same floats* the workspace holds — the
-    /// recording hook never touches the arithmetic, so recorded and plain
-    /// passes are bitwise identical.
-    pub fn compute_recorded(
-        &mut self,
-        graph: &KnowledgeGraph,
-        query: NodeId,
-        cfg: &SimilarityConfig,
-        record: &mut PhiRecord,
-    ) {
-        self.compute_impl(graph, query, cfg, Some(record));
-    }
-
     fn compute_impl(
         &mut self,
         graph: &KnowledgeGraph,
@@ -136,14 +117,13 @@ impl PhiWorkspace {
         let c = cfg.restart;
         let eps = cfg.prune_eps;
         self.pruned_bound = 0.0;
-        self.edge_ops = 0;
 
         self.token += 1;
         self.phi_token = self.token;
         self.touched.clear();
         self.active.clear();
         if let Some(rec) = record.as_deref_mut() {
-            rec.begin(query, cfg, graph.node_count());
+            rec.begin(query);
         }
 
         // The length-0 walk.
@@ -177,7 +157,6 @@ impl PhiWorkspace {
                 // sit side by side in slot order, so the hot loop runs two
                 // parallel streams instead of chasing `weights[edge_id]`.
                 let (targets, weights) = graph.out_row(u);
-                self.edge_ops += targets.len() as u64;
                 for (&t, &w) in targets.iter().zip(weights) {
                     let idx = t.index();
                     if self.next_stamp[idx] != level_token {
@@ -209,7 +188,7 @@ impl PhiWorkspace {
             }
         }
         if let Some(rec) = record {
-            rec.finish(&self.touched, &self.phi, self.edge_ops);
+            rec.finish(&self.touched, &self.phi);
         }
     }
 
@@ -236,12 +215,6 @@ impl PhiWorkspace {
     /// `0.0` when `prune_eps = 0`.
     pub fn pruned_bound(&self) -> f64 {
         self.pruned_bound
-    }
-
-    /// Number of edges expanded by the most recent pass — the work the
-    /// delta-repair path budgets itself against.
-    pub fn edge_ops(&self) -> u64 {
-        self.edge_ops
     }
 
     /// Writes the dense `Φ(query, ·)` vector of the most recent pass into
@@ -271,8 +244,10 @@ impl PhiWorkspace {
         self.rank_current_into(answers, k, out);
     }
 
-    /// Like [`Self::rank_into`], but also captures a [`PhiRecord`] for the
-    /// pass (see [`Self::compute_recorded`]).
+    /// Like [`Self::rank_into`], but also captures the pass's per-level
+    /// frontier and scores into `record`. The recording hook never touches
+    /// the arithmetic, so the ranking is bitwise identical to
+    /// [`Self::rank_into`]'s.
     #[allow(clippy::too_many_arguments)]
     pub fn rank_into_recorded(
         &mut self,
@@ -284,7 +259,7 @@ impl PhiWorkspace {
         out: &mut Vec<RankedAnswer>,
         record: &mut PhiRecord,
     ) {
-        self.compute_recorded(graph, query, cfg, record);
+        self.compute_impl(graph, query, cfg, Some(record));
         self.rank_current_into(answers, k, out);
     }
 
@@ -313,7 +288,7 @@ impl PhiWorkspace {
 
 thread_local! {
     /// One warm workspace per thread, for callers that serve queries
-    /// from `&self` contexts (the concurrent score server) and cannot
+    /// from `&self` contexts (the snapshot server) and cannot
     /// hold a mutable workspace of their own.
     static LOCAL_WORKSPACE: std::cell::RefCell<PhiWorkspace> =
         std::cell::RefCell::new(PhiWorkspace::new());
